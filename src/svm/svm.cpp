@@ -52,10 +52,6 @@ const proto::CoherencePolicy& Svm::policy() const {
   return runtime_->policy();
 }
 
-u64 Svm::page_index_of(u64 vaddr) const {
-  return runtime_->page_index_of(vaddr);
-}
-
 // ---------------------------------------------------------------------------
 // collectives
 
@@ -67,7 +63,7 @@ u64 Svm::alloc(u64 bytes) {
   // Table 1 row 1: reserving 4 MiB costs ~741 us in total).
   core_.compute_cycles(
       pages * domain_.config().alloc_region_cycles_per_page);
-  runtime_->add_region(base, pages);
+  runtime_->enter_region();
   next_vaddr_ = base + pages * page;
   barrier();
   return base;
@@ -200,8 +196,8 @@ void Svm::barrier_dissemination() {
 
 void Svm::protect_readonly(u64 vaddr, u64 bytes) {
   ++runtime_->stats().protect_calls;
-  SvmRuntime::RegionAttrs* region = runtime_->region_of(vaddr);
-  if (region == nullptr) panic("protect_readonly outside any SVM region");
+  const int region = runtime_->region_of(vaddr);
+  if (region < 0) panic("protect_readonly outside any SVM region");
   const u64 page = core_.chip().config().page_bytes;
   // Make our writes visible and drop our MPBT lines: the region's lines
   // will re-enter the caches as plain (L2-capable) lines.
@@ -215,13 +211,13 @@ void Svm::protect_readonly(u64 vaddr, u64 bytes) {
     });
     core_.compute_cycles(40);
   }
-  region->readonly = true;
+  runtime_->set_region_readonly(region, true);
   barrier();
 }
 
 void Svm::unprotect(u64 vaddr, u64 bytes) {
-  SvmRuntime::RegionAttrs* region = runtime_->region_of(vaddr);
-  if (region == nullptr) panic("unprotect outside any SVM region");
+  const int region = runtime_->region_of(vaddr);
+  if (region < 0) panic("unprotect outside any SVM region");
   const u64 page = core_.chip().config().page_bytes;
   // Drop all mappings: the next access re-faults through the normal
   // (model-aware) path, which restores MPBT attributes and — under the
@@ -242,16 +238,17 @@ void Svm::unprotect(u64 vaddr, u64 bytes) {
     // stale Shared bit would let a future reader join the sharer set
     // without a grant while the owner re-faults a writable mapping.
     for (u64 off = 0; off < bytes; off += page) {
-      runtime_->meta().clear_dir(page_index_of(vaddr + off));
+      runtime_->meta().clear_dir(domain_.page_index_of(vaddr + off));
     }
   }
-  region->readonly = false;
+  runtime_->set_region_readonly(region, false);
   barrier();
 }
 
 void Svm::next_touch(u64 vaddr, u64 bytes) {
-  SvmRuntime::RegionAttrs* region = runtime_->region_of(vaddr);
-  if (region == nullptr) panic("next_touch outside any SVM region");
+  if (runtime_->region_of(vaddr) < 0) {
+    panic("next_touch outside any SVM region");
+  }
   const u64 page = core_.chip().config().page_bytes;
   core_.flush_wcb();
   core_.cl1invmb();
@@ -263,7 +260,7 @@ void Svm::next_touch(u64 vaddr, u64 bytes) {
   if (rank_ == 0) {
     proto::MetaWord& meta = runtime_->meta();
     for (u64 off = 0; off < bytes; off += page) {
-      const u64 idx = page_index_of(vaddr + off);
+      const u64 idx = domain_.page_index_of(vaddr + off);
       const u16 entry = meta.scratchpad(idx);
       if ((entry & kFrameMask) != 0) {
         meta.set_scratchpad(idx, entry | kMigrateBit);

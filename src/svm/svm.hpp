@@ -174,6 +174,13 @@ class SvmDomain {
   /// this domain's share.
   u64 page_index_base() const { return page_index_base_; }
   u64 vbase() const;
+  /// Global SVM page index of an address in the SVM window, and back.
+  u64 page_index_of(u64 vaddr) const {
+    return (vaddr - scc::kSvmVBase) >> page_shift_;
+  }
+  u64 page_vaddr_of(u64 page_idx) const {
+    return scc::kSvmVBase + (page_idx << page_shift_);
+  }
   u64 owner_entry_paddr(u64 page_idx) const;
   u64 scratchpad_entry_paddr(u64 page_idx) const;
   /// Directory sharer word of `page_idx` (read-replication mode only; the
@@ -231,6 +238,8 @@ class SvmDomain {
   /// is then laid out as one flags word (bit 0 = Shared) followed by the
   /// sharer words.
   int sharer_words() const { return dir_words_; }
+  /// Directory sharer width: the die's core count.
+  int sharer_width() const { return chip_.topology().max_cores(); }
   u32 dir_entry_stride() const {
     return dir_words_ == 0 ? 8u : 8u * static_cast<u32>(1 + dir_words_);
   }
@@ -243,8 +252,13 @@ class SvmDomain {
 
   /// Collective-call symmetry check: every member must allocate the same
   /// region sequence. Returns the canonical base for allocation number
-  /// `seq` of `bytes`, recording it on first sight.
+  /// `seq` of `bytes`, recording it (and its pages in the region map) on
+  /// first sight.
   u64 register_alloc(int rank, u64 bytes);
+
+  /// Region id of global page `page_idx`: the sequence number of the
+  /// collective alloc covering it, or -1 outside every alloc so far.
+  int region_of_page(u64 page_idx) const;
 
  private:
   scc::Chip& chip_;
@@ -258,6 +272,7 @@ class SvmDomain {
   u64 page_capacity_total_ = 0;  // chip-wide SVM page capacity
   u64 svm_page_capacity_ = 0;   // this domain's share
   u64 page_index_base_ = 0;     // first global page index of the share
+  u32 page_shift_ = 0;          // log2(page_bytes)
   u32 entries_per_mpb_ = 0;
 
   std::vector<std::vector<u16>> free_frames_;  // per MC
@@ -308,6 +323,9 @@ class SvmDomain {
   };
   std::vector<AllocRecord> allocs_;
   std::vector<u64> next_alloc_seq_;  // per rank
+  /// (page - page_index_base_) -> alloc sequence number, covering exactly
+  /// the allocated prefix of the share.
+  std::vector<u32> region_by_page_;
 };
 
 class SvmRuntime;
@@ -389,8 +407,6 @@ class Svm {
   // Barrier algorithm bodies.
   void barrier_master_gather();
   void barrier_dissemination();
-
-  u64 page_index_of(u64 vaddr) const;
 
   kernel::Kernel& kernel_;
   mbox::MailboxSystem& mbox_;

@@ -47,6 +47,7 @@ SvmDomain::SvmDomain(scc::Chip& chip, SvmConfig cfg,
   debug_lock_page_.assign(nlocks, 0);
   const scc::ChipConfig& ccfg = chip_.config();
   const u64 page = ccfg.page_bytes;
+  while ((u64{1} << page_shift_) < page) ++page_shift_;
 
   entries_per_mpb_ =
       (layout_.scratchpad_bytes - layout_.barrier_header_bytes) / 2;
@@ -134,8 +135,11 @@ u64 SvmDomain::scratchpad_entry_paddr(u64 page_idx) const {
   assert(page_idx >= page_index_base_ &&
          page_idx < page_index_base_ + svm_page_capacity_);
   if (cfg_.scratchpad_offdie) {
+    // Past the whole chip's owner vector, not just this slot's share:
+    // page_idx is global, so a share-sized offset would land later
+    // slots' scratchpad on earlier slots' owner words.
     return scc::kSharedBase + meta_base_ + mc_area_bytes_ +
-           2 * svm_page_capacity_ + 2 * page_idx;
+           2 * page_capacity_total_ + 2 * page_idx;
   }
   const int core = static_cast<int>(page_idx / entries_per_mpb_);
   const u32 off = static_cast<u32>(page_idx % entries_per_mpb_) * 2;
@@ -204,17 +208,15 @@ u64 SvmDomain::register_alloc(int rank, u64 bytes) {
   const u64 page = chip_.config().page_bytes;
   const u64 seq = next_alloc_seq_[static_cast<std::size_t>(rank)]++;
   if (seq == allocs_.size()) {
-    // First member to reach this collective call defines the region.
-    const u64 prev_end =
-        allocs_.empty()
-            ? vbase()
-            : allocs_.back().base +
-                  round_up(allocs_.back().bytes, page);
-    if ((prev_end - vbase()) / page + round_up(bytes, page) / page >
-        svm_page_capacity_) {
+    // First member to reach this collective call defines the region. The
+    // allocs tile the share, so the region map ends at the next free page.
+    const u64 first = region_by_page_.size();
+    const u64 end = first + round_up(bytes, page) / page;
+    if (end > svm_page_capacity_) {
       panic("svm_alloc exceeds scratchpad capacity");
     }
-    allocs_.push_back(AllocRecord{bytes, prev_end, 0});
+    allocs_.push_back(AllocRecord{bytes, vbase() + first * page, 0});
+    region_by_page_.resize(end, static_cast<u32>(seq));
   }
   AllocRecord& rec = allocs_.at(seq);
   if (rec.bytes != bytes) {
@@ -222,6 +224,12 @@ u64 SvmDomain::register_alloc(int rank, u64 bytes) {
   }
   ++rec.seen;
   return rec.base;
+}
+
+int SvmDomain::region_of_page(u64 page_idx) const {
+  const u64 rel = page_idx - page_index_base_;  // wraps below the share
+  return rel < region_by_page_.size() ? static_cast<int>(region_by_page_[rel])
+                                      : -1;
 }
 
 }  // namespace msvm::svm

@@ -99,30 +99,9 @@ SvmRuntime::SvmRuntime(kernel::Kernel& kernel, mbox::MailboxSystem& mbox,
       mbox_(mbox),
       domain_(domain),
       core_(kernel.core()),
-      dir_width_(domain.chip().topology().max_cores()),
       meta_word_(*this, this),
       policy_(make_policy(domain.config())),
       channel_(mbox) {
-  // Flat per-page lookup tables: precompute the simulated-memory address
-  // of every metadata word this domain can touch, so the MetaStore hot
-  // path is one vector index instead of layout arithmetic per access.
-  const u32 page_bytes = core_.chip().config().page_bytes;
-  while ((u32{1} << page_shift_) < page_bytes) ++page_shift_;
-  page_index_base_ = domain_.page_index_base();
-  const u64 n = domain_.num_svm_pages();
-  owner_paddr_.resize(n);
-  scratch_paddr_.resize(n);
-  if (domain_.config().read_replication) sharer_paddr_.resize(n);
-  for (u64 i = 0; i < n; ++i) {
-    const u64 page = page_index_base_ + i;
-    owner_paddr_[i] = domain_.owner_entry_paddr(page);
-    scratch_paddr_[i] = domain_.scratchpad_entry_paddr(page);
-    if (!sharer_paddr_.empty()) {
-      sharer_paddr_[i] = domain_.sharer_entry_paddr(page);
-    }
-  }
-  region_id_by_page_.assign(n, kNoRegion);
-
   kernel_.set_svm_fault_handler(
       [this](u64 vaddr, bool is_write) { handle_fault(vaddr, is_write); });
   mbox_.set_handler(kMailOwnershipReq,
@@ -201,30 +180,12 @@ std::string proto_trace_dump(const obs::EventRing& ring,
   return out;
 }
 
-u64 SvmRuntime::page_index_of(u64 vaddr) const {
-  return (vaddr - scc::kSvmVBase) >> page_shift_;
-}
-
-u64 SvmRuntime::page_vaddr_of(u64 page_idx) const {
-  return scc::kSvmVBase + (page_idx << page_shift_);
-}
-
-void SvmRuntime::add_region(u64 base, u64 pages) {
-  assert(regions_.size() < kNoRegion && "region id space exhausted");
-  const u16 id = static_cast<u16>(regions_.size());
-  regions_.push_back(RegionAttrs{base, pages, false});
-  const u64 first = page_index_of(base) - page_index_base_;
-  assert(first + pages <= region_id_by_page_.size() &&
-         "region outside this domain's page share");
-  for (u64 i = 0; i < pages; ++i) region_id_by_page_[first + i] = id;
-}
-
-SvmRuntime::RegionAttrs* SvmRuntime::region_of(u64 vaddr) {
-  if (vaddr < scc::kSvmVBase) return nullptr;
-  const u64 rel = page_index_of(vaddr) - page_index_base_;
-  if (rel >= region_id_by_page_.size()) return nullptr;
-  const u16 id = region_id_by_page_[rel];
-  return id == kNoRegion ? nullptr : &regions_[id];
+int SvmRuntime::region_of(u64 vaddr) const {
+  if (vaddr < scc::kSvmVBase) return -1;
+  const int id = domain_.region_of_page(domain_.page_index_of(vaddr));
+  // An alloc another member already registered is not this core's region
+  // until it reaches the collective call too.
+  return id < static_cast<int>(region_readonly_.size()) ? id : -1;
 }
 
 void SvmRuntime::append_hang_report(std::string& out) {
@@ -299,7 +260,7 @@ void SvmRuntime::handle_fault(u64 vaddr, bool is_write) {
     ++core_.counters().svm_read_faults;
   }
   FaultStallScope stall(core_);
-  const u64 page_idx = page_index_of(vaddr);
+  const u64 page_idx = domain_.page_index_of(vaddr);
   trace(proto::TraceEvent{proto::TraceKind::kFault, page_idx,
                           is_write ? u64{1} : u64{0}, 0});
   std::optional<SpanScope> fault_span;
@@ -308,14 +269,15 @@ void SvmRuntime::handle_fault(u64 vaddr, bool is_write) {
                        obs::EventKind::kFaultEnd, page_idx,
                        is_write ? u64{1} : u64{0}, 0);
   }
-  RegionAttrs* region = region_of(vaddr);
-  if (region == nullptr) {
+  const int region = region_of(vaddr);
+  if (region < 0) {
     std::fprintf(stderr,
                  "svm (core %d): fault at 0x%llx outside any region\n",
                  core_.id(), static_cast<unsigned long long>(vaddr));
     std::abort();
   }
-  if (region->readonly && is_write) {
+  const bool readonly = region_readonly_[static_cast<std::size_t>(region)];
+  if (readonly && is_write) {
     // The debugging aid of Section 6.4: surface the faulting core's
     // recent protocol history alongside the error.
     std::fprintf(stderr,
@@ -329,7 +291,7 @@ void SvmRuntime::handle_fault(u64 vaddr, bool is_write) {
   const scc::Pte* pte = core_.pagetable().find(vaddr);
   try {
     if (pte == nullptr || !pte->present) {
-      mapping_fault(vaddr, page_idx, is_write);
+      mapping_fault(vaddr, page_idx, is_write, readonly);
       return;
     }
     // Present but insufficient permission: a strong-model write to a page
@@ -352,11 +314,11 @@ void SvmRuntime::handle_fault(u64 vaddr, bool is_write) {
   panic("unresolvable SVM fault");
 }
 
-void SvmRuntime::mapping_fault(u64 vaddr, u64 page_idx, bool is_write) {
+void SvmRuntime::mapping_fault(u64 vaddr, u64 page_idx, bool is_write,
+                               bool readonly) {
   core_.compute_cycles(domain_.config().map_software_cycles);
   const u64 page_base =
       vaddr & ~(u64{core_.chip().config().page_bytes} - 1);
-  RegionAttrs* region = region_of(vaddr);
 
   const int lock_reg = domain_.scratchpad_lock_reg(page_idx);
   kernel::SpinWaitOpts lock_opts;
@@ -383,12 +345,12 @@ void SvmRuntime::mapping_fault(u64 vaddr, u64 page_idx, bool is_write) {
     meta_word_.set_scratchpad(page_idx, frame);
     meta_word_.set_owner(page_idx, static_cast<u16>(core_.id()));
     core_.tas_release(lock_reg);
-    if (region->readonly) {
+    if (readonly) {
       map_readonly(page_base, frame);
     } else {
       install_mapping(page_base, frame, /*writable=*/true);
     }
-    policy_->note_mapped(page_idx, !region->readonly, *this);
+    policy_->note_mapped(page_idx, !readonly, *this);
     return;
   }
 
@@ -436,7 +398,7 @@ void SvmRuntime::mapping_fault(u64 vaddr, u64 page_idx, bool is_write) {
   ++stats_.map_faults;
   const u16 frame = entry & kFrameMask;
   core_.tas_release(lock_reg);
-  if (region->readonly) {
+  if (readonly) {
     map_readonly(page_base, frame);
     policy_->note_mapped(page_idx, /*writable=*/false, *this);
     return;
@@ -523,7 +485,8 @@ void SvmRuntime::install_mapping(u64 page_vaddr, u16 frame_no,
     // A writable mapping ends the frame's quiescence: the seal no longer
     // describes what DRAM will hold, so retire it (covers the ownership
     // fast paths, migration's frame swap, and LRC's free remaps alike).
-    const u64 rel = page_index_of(page_vaddr) - page_index_base_;
+    const u64 rel =
+        domain_.page_index_of(page_vaddr) - domain_.page_index_base();
     if (rel < domain_.seals.size()) domain_.seals[rel].valid = false;
   }
 }
@@ -574,7 +537,7 @@ void SvmRuntime::send(int dest, const proto::Msg& m) {
     // A fresh request this core originates: stamp a new sequence number
     // and remember it for bounded-wait retransmission.
     mail.arg16 = channel_.next_seq();
-    proto::SharerSet awaiting(dir_width_);
+    proto::SharerSet awaiting(domain_.sharer_width());
     awaiting.set(dest);
     pending_ = PendingRequest{mail, awaiting, m.page, mail.arg16,
                               ack_of(mail.type)};
@@ -631,7 +594,7 @@ void SvmRuntime::retransmit_pending() {
 
 void SvmRuntime::on_ack_mail(const mbox::Mail& mail) {
   switch (channel_.admit(mbox::ack_key(mail))) {
-    case AckRing::Admit::kDuplicate:
+    case mbox::AckRing::Admit::kDuplicate:
       ++stats_.dup_acks_dropped;
       MSVM_LOG_INFO("core %d: dropped duplicate ack type=0x%x page=%llu "
                     "seq=%u from %d",
@@ -639,10 +602,10 @@ void SvmRuntime::on_ack_mail(const mbox::Mail& mail) {
                     static_cast<unsigned long long>(mail.p0), mail.arg16,
                     mail.sender);
       return;
-    case AckRing::Admit::kFreshEvicting:
+    case mbox::AckRing::Admit::kFreshEvicting:
       ++stats_.acks_evicted;  // ring capacity hit
       break;
-    case AckRing::Admit::kFresh:
+    case mbox::AckRing::Admit::kFresh:
       break;
   }
   mbox_.enqueue_inbox(mail);
@@ -653,62 +616,56 @@ proto::Msg SvmRuntime::wait_match(proto::MsgType type, u64 page) {
   sim::BlockScope scope(core_.chip().scheduler().current(),
                         "svm.wait_match", static_cast<u64>(mail_type),
                         page);
+  // Every protocol wait follows a send/multicast this core originated,
+  // which recorded the matching in-flight request.
+  assert(pending_ && pending_->ack_type == mail_type &&
+         pending_->page == page && "wait_match without a matching request");
+  // Bounded wait: only an ACK echoing our request's sequence number
+  // counts, so stray ACKs from abandoned earlier rounds rot in the inbox
+  // instead of satisfying this wait. On timeout, retransmit idempotently
+  // with exponential backoff.
+  const u16 seq = pending_->seq;
+  const auto pred = [mail_type, page, seq](const mbox::Mail& m) {
+    return m.type == mail_type && m.p0 == page && m.arg16 == seq;
+  };
+  const TimePs plan_retry = core_.chip().faults().plan().retry_ps;
+  const TimePs base = plan_retry > 0 ? plan_retry : kRetryBasePs;
+  const TimePs cap = plan_retry > 0 ? plan_retry * 8 : kRetryCapPs;
+  TimePs timeout = base;
+  const TimePs t0 = core_.now();
   mbox::Mail mail;
-  const bool bounded = pending_ && pending_->ack_type == mail_type &&
-                       pending_->page == page;
-  if (!bounded) {
-    // No matching in-flight request of our own (e.g. harness-driven or
-    // legacy paths): the historical unbounded wait.
-    mail = mbox_.recv_match([mail_type, page](const mbox::Mail& m) {
-      return m.type == mail_type && m.p0 == page;
-    });
-  } else {
-    // Bounded wait: only an ACK echoing our request's sequence number
-    // counts, so stray ACKs from abandoned earlier rounds rot in the
-    // inbox instead of satisfying this wait. On timeout, retransmit
-    // idempotently with exponential backoff.
-    const u16 seq = pending_->seq;
-    const auto pred = [mail_type, page, seq](const mbox::Mail& m) {
-      return m.type == mail_type && m.p0 == page && m.arg16 == seq;
-    };
-    const TimePs plan_retry = core_.chip().faults().plan().retry_ps;
-    const TimePs base = plan_retry > 0 ? plan_retry : kRetryBasePs;
-    const TimePs cap = plan_retry > 0 ? plan_retry * 8 : kRetryCapPs;
-    TimePs timeout = base;
-    const TimePs t0 = core_.now();
-    for (;;) {
-      const auto m = mbox_.recv_match_until(pred, core_.now() + timeout);
-      if (m) {
-        mail = *m;
+  for (;;) {
+    const auto m = mbox_.recv_match_until(pred, core_.now() + timeout);
+    if (m) {
+      mail = *m;
+      break;
+    }
+    if (core_.chip().watchdog().check(core_.now(), t0, "svm.wait_match",
+                                      core_.id())) {
+      core_.chip().scheduler().block();  // parked until teardown
+    }
+    // Failure detection: an ACK that will never come because the peer
+    // fail-stopped. Repair the page (we hold its transfer lock) and
+    // satisfy the wait with a synthesized ACK — the acquire loops all
+    // re-verify owner/directory state after wait_match returns, so a
+    // synthesized ACK is no stronger a claim than a real one.
+    if (core_.chip().dead_count() > 0 && core_.chip().lease_enabled()) {
+      const std::optional<mbox::Mail> synth = try_dead_peer_recovery();
+      if (synth) {
+        mail = *synth;
         break;
       }
-      if (core_.chip().watchdog().check(core_.now(), t0, "svm.wait_match",
-                                        core_.id())) {
-        core_.chip().scheduler().block();  // parked until teardown
-      }
-      // Failure detection: an ACK that will never come because the peer
-      // fail-stopped. Repair the page (we hold its transfer lock) and
-      // satisfy the wait with a synthesized ACK — the acquire loops all
-      // re-verify owner/directory state after wait_match returns, so a
-      // synthesized ACK is no stronger a claim than a real one.
-      if (core_.chip().dead_count() > 0 && core_.chip().lease_enabled()) {
-        const std::optional<mbox::Mail> synth = try_dead_peer_recovery();
-        if (synth) {
-          mail = *synth;
-          break;
-        }
-      }
-      retransmit_pending();
-      timeout = std::min<TimePs>(timeout * 2, cap);
     }
-    if (mail_type == kMailInvalAck) {
-      // Multicast wait: retire this responder; keep the entry while
-      // other sharers still owe their ACK.
-      if (mail.sender >= 0) pending_->awaiting.clear(mail.sender);
-      if (pending_->awaiting.none()) pending_.reset();
-    } else {
-      pending_.reset();
-    }
+    retransmit_pending();
+    timeout = std::min<TimePs>(timeout * 2, cap);
+  }
+  if (mail_type == kMailInvalAck) {
+    // Multicast wait: retire this responder; keep the entry while other
+    // sharers still owe their ACK.
+    if (mail.sender >= 0) pending_->awaiting.clear(mail.sender);
+    if (pending_->awaiting.none()) pending_.reset();
+  } else {
+    pending_.reset();
   }
   const proto::Msg msg{type, mail.p0, static_cast<int>(mail.p1)};
   trace(proto::TraceEvent{proto::TraceKind::kMsgRecv, msg.page,
@@ -727,18 +684,18 @@ void SvmRuntime::flush_wcb() { core_.flush_wcb(); }
 void SvmRuntime::cl1invmb() { core_.cl1invmb(); }
 
 void SvmRuntime::map_page(u64 page, u16 frame, bool writable) {
-  install_mapping(page_vaddr_of(page), frame, writable);
+  install_mapping(domain_.page_vaddr_of(page), frame, writable);
 }
 
 void SvmRuntime::unmap_page(u64 page) {
-  core_.pagetable().update(page_vaddr_of(page), [](scc::Pte& p) {
+  core_.pagetable().update(domain_.page_vaddr_of(page), [](scc::Pte& p) {
     p.present = false;
     p.writable = false;
   });
 }
 
 void SvmRuntime::downgrade_page(u64 page) {
-  core_.pagetable().update(page_vaddr_of(page),
+  core_.pagetable().update(domain_.page_vaddr_of(page),
                            [](scc::Pte& p) { p.writable = false; });
 }
 
@@ -801,7 +758,7 @@ proto::RecoveryAction SvmRuntime::run_page_recovery(u64 page,
   scc::Chip& chip = core_.chip();
   // Ground truth for *who* is dead comes from the chip; the lease only
   // gated *when* the survivors were allowed to act on it.
-  proto::SharerSet dead(dir_width_);
+  proto::SharerSet dead(domain_.sharer_width());
   for (int i = 0; i < chip.config().num_cores; ++i) {
     if (chip.core_dead(i)) dead.set(i);
   }
@@ -959,7 +916,7 @@ u32 SvmRuntime::frame_crc(u64 frame_base) {
 
 void SvmRuntime::page_seal(u64 page, bool exclusive) {
   if (!integrity_) return;
-  const u64 rel = page - page_index_base_;
+  const u64 rel = page - domain_.page_index_base();
   assert(rel < domain_.seals.size() && "sealed page outside the domain");
   const u32 page_bytes = core_.chip().config().page_bytes;
   const u16 frame = meta_word_.frame_of(page);
@@ -1046,7 +1003,7 @@ void SvmRuntime::poison_page(u64 page, u32 gen) {
   // the ECC shadow records it — so a later "correction" can never
   // resurrect the pre-poison owner word.
   meta_word_.set_owner(page, kOwnerCorrupt);
-  const u64 rel = page - page_index_base_;
+  const u64 rel = page - domain_.page_index_base();
   if (rel < domain_.seals.size()) {
     // The page is dead; retire the seal so the scrubber reports (and the
     // ledger counts) each poisoning exactly once.
@@ -1064,7 +1021,7 @@ void SvmRuntime::poison_page(u64 page, u32 gen) {
 
 void SvmRuntime::page_verify(u64 page) {
   if (!integrity_) return;
-  const u64 rel = page - page_index_base_;
+  const u64 rel = page - domain_.page_index_base();
   assert(rel < domain_.seals.size() && "verified page outside the domain");
   SvmDomain::PageSeal& seal = domain_.seals[rel];
   if (!seal.valid) return;  // nothing to check against (e.g. first touch)
@@ -1114,16 +1071,18 @@ void SvmRuntime::scrub_tick() {
     SvmDomain::PageSeal& seal = domain_.seals[rel];
     if (!seal.valid) continue;
     ++walked;
+    const u64 page = domain_.page_index_base() + rel;
     // Frame number from the ECC shadow (golden, host-side — a scrub must
     // not trust a possibly-flipped scratchpad word), raw memory as the
     // fallback for words never stored since boot.
+    const u64 scratch = domain_.scratchpad_entry_paddr(page);
     u64 entry = 0;
-    const auto it = domain_.meta_shadow.find(scratch_paddr_[rel]);
+    const auto it = domain_.meta_shadow.find(scratch);
     if (it != domain_.meta_shadow.end()) {
       entry = it->second;
     } else {
       u16 word = 0;
-      core_.chip().memory().read(scratch_paddr_[rel], &word, sizeof(word));
+      core_.chip().memory().read(scratch, &word, sizeof(word));
       entry = word;
     }
     const u16 frame = static_cast<u16>(entry) & kFrameMask;
@@ -1142,7 +1101,7 @@ void SvmRuntime::scrub_tick() {
       obs::EventBus& bus = core_.chip().bus();
       if (bus.enabled(obs::kCatIntegrity)) {
         bus.publish(obs::Event{
-            core_.now(), page_index_base_ + rel, seal.gen,
+            core_.now(), page, seal.gen,
             static_cast<u64>(used_remote
                                  ? obs::IntegrityAction::kRefetched
                                  : obs::IntegrityAction::kRepaired),
@@ -1153,7 +1112,7 @@ void SvmRuntime::scrub_tick() {
     // Unrepairable from interrupt context too: poison now (no throw — no
     // access is faulting), so the next toucher gets the typed error
     // instead of a stale verify.
-    poison_page(page_index_base_ + rel, seal.gen);
+    poison_page(page, seal.gen);
   }
   if (walked == 0) return;
   obs::EventBus& bus = core_.chip().bus();
@@ -1260,16 +1219,19 @@ void SvmRuntime::meta_store_word(u64 paddr, u64 value, u32 bits,
   }
 }
 
+// The domain's *_entry_paddr accessors assert that `page` lies inside
+// its share, so every access below is range-checked.
+
 u64 SvmRuntime::load(proto::MetaKind kind, u64 page) {
-  const u64 rel = page - page_index_base_;
-  assert(rel < owner_paddr_.size() && "metadata page outside the domain");
   switch (kind) {
     case proto::MetaKind::kOwner:
-      return meta_load_word(owner_paddr_[rel], 16, kind, page);
+      return meta_load_word(domain_.owner_entry_paddr(page), 16, kind, page);
     case proto::MetaKind::kScratchpad:
-      return meta_load_word(scratch_paddr_[rel], 16, kind, page);
+      return meta_load_word(domain_.scratchpad_entry_paddr(page), 16, kind,
+                            page);
     case proto::MetaKind::kDirectory:
-      return meta_load_word(sharer_paddr_[rel], 64, kind, page);
+      return meta_load_word(domain_.sharer_entry_paddr(page), 64, kind,
+                            page);
   }
   panic("unknown MetaKind load");
 }
@@ -1278,10 +1240,8 @@ proto::DirEntry SvmRuntime::load_dir(u64 page) {
   if (domain_.sharer_words() == 0) return proto::MetaStore::load_dir(page);
   // Wide entry: one flags word (bit 0 = Shared) then the sharer words,
   // each its own uncached simulated transaction.
-  const u64 rel = page - page_index_base_;
-  assert(rel < sharer_paddr_.size() && "metadata page outside the domain");
-  const u64 base = sharer_paddr_[rel];
-  proto::DirEntry e(dir_width_);
+  const u64 base = domain_.sharer_entry_paddr(page);
+  proto::DirEntry e(domain_.sharer_width());
   e.shared =
       (meta_load_word(base, 64, proto::MetaKind::kDirectory, page) & 1) !=
       0;
@@ -1298,9 +1258,7 @@ void SvmRuntime::store_dir(u64 page, const proto::DirEntry& e) {
     proto::MetaStore::store_dir(page, e);
     return;
   }
-  const u64 rel = page - page_index_base_;
-  assert(rel < sharer_paddr_.size() && "metadata page outside the domain");
-  const u64 base = sharer_paddr_[rel];
+  const u64 base = domain_.sharer_entry_paddr(page);
   meta_store_word(base, e.shared ? u64{1} : u64{0}, 64, page);
   for (int w = 0; w < domain_.sharer_words(); ++w) {
     meta_store_word(base + 8 * static_cast<u64>(w + 1), e.sharers.word(w),
@@ -1309,17 +1267,15 @@ void SvmRuntime::store_dir(u64 page, const proto::DirEntry& e) {
 }
 
 void SvmRuntime::store(proto::MetaKind kind, u64 page, u64 value) {
-  const u64 rel = page - page_index_base_;
-  assert(rel < owner_paddr_.size() && "metadata page outside the domain");
   switch (kind) {
     case proto::MetaKind::kOwner:
-      meta_store_word(owner_paddr_[rel], value, 16, page);
+      meta_store_word(domain_.owner_entry_paddr(page), value, 16, page);
       return;
     case proto::MetaKind::kScratchpad:
-      meta_store_word(scratch_paddr_[rel], value, 16, page);
+      meta_store_word(domain_.scratchpad_entry_paddr(page), value, 16, page);
       return;
     case proto::MetaKind::kDirectory:
-      meta_store_word(sharer_paddr_[rel], value, 64, page);
+      meta_store_word(domain_.sharer_entry_paddr(page), value, 64, page);
       return;
   }
   panic("unknown MetaKind store");

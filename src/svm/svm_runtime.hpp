@@ -17,7 +17,7 @@
 
 #include <optional>
 
-#include "svm/ack_ring.hpp"
+#include "mailbox/reliable.hpp"
 #include "svm/svm.hpp"
 
 namespace msvm::svm {
@@ -34,17 +34,20 @@ class SvmRuntime final : public proto::ProtocolEnv,
   proto::CoherencePolicy& policy() { return *policy_; }
   const proto::CoherencePolicy& policy() const { return *policy_; }
 
-  // ---- region registry (SVM virtual-address ranges from Svm::alloc) ----
+  // ---- regions (SVM virtual-address ranges from Svm::alloc) ----
+  //
+  // The domain maps pages to region ids (the collective alloc sequence
+  // number). This core keeps only its own read-only flag per region: each
+  // core sets it as it passes protect_readonly/unprotect, so a core that
+  // has not reached the call yet must still see the old value.
 
-  struct RegionAttrs {
-    u64 base;
-    u64 pages;
-    bool readonly = false;
-  };
-  void add_region(u64 base, u64 pages);
-  /// O(1): page index -> region id via the flat per-page table (the old
-  /// linear region scan ran on every fault).
-  RegionAttrs* region_of(u64 vaddr);
+  /// Svm::alloc calls this as the core passes its next collective alloc.
+  void enter_region() { region_readonly_.push_back(false); }
+  /// Region id of `vaddr`, or -1 outside every alloc this core reached.
+  int region_of(u64 vaddr) const;
+  void set_region_readonly(int region, bool readonly) {
+    region_readonly_[static_cast<std::size_t>(region)] = readonly;
+  }
 
   // ---- fault path (installed as the kernel's SVM fault handler) ----
 
@@ -60,7 +63,6 @@ class SvmRuntime final : public proto::ProtocolEnv,
 
   // ---- helpers shared with the Svm collectives ----
 
-  u64 page_index_of(u64 vaddr) const;
   /// Installs the read-only-region mapping (L2-cacheable, Section 6.4).
   void map_readonly(u64 page_vaddr, u16 frame_no);
 
@@ -93,6 +95,10 @@ class SvmRuntime final : public proto::ProtocolEnv,
   void warn(const char* message) override;
 
   // ---- proto::MetaStore (uncached simulated-memory words) ----
+  //
+  // Each access asks the domain for the word's simulated physical address
+  // (SvmDomain::owner/scratchpad/sharer_entry_paddr, O(1) arithmetic);
+  // the runtime keeps no per-page table of its own.
 
   u64 load(proto::MetaKind kind, u64 page) override;
   void store(proto::MetaKind kind, u64 page, u64 value) override;
@@ -101,7 +107,7 @@ class SvmRuntime final : public proto::ProtocolEnv,
   /// load/store above); wider chips use the spilled multi-word entry, so
   /// the typed accessors are overridden to issue one simulated
   /// transaction per entry word.
-  int sharer_width() const override { return dir_width_; }
+  int sharer_width() const override { return domain_.sharer_width(); }
   proto::DirEntry load_dir(u64 page) override;
   void store_dir(u64 page, const proto::DirEntry& e) override;
 
@@ -163,15 +169,15 @@ class SvmRuntime final : public proto::ProtocolEnv,
   void release_held_transfer_locks();
 
   /// Mapping fault: first touch, migration, or plain (re)mapping; the
-  /// model-dependent tail is delegated to the policy.
-  void mapping_fault(u64 vaddr, u64 page_idx, bool is_write);
+  /// model-dependent tail is delegated to the policy. `readonly` is this
+  /// core's flag for the page's region.
+  void mapping_fault(u64 vaddr, u64 page_idx, bool is_write, bool readonly);
 
   /// Frames come from the preferred controller's quarter while it lasts,
   /// then fall back round-robin — the NUMA-style placement of Sec. 6.3.
   u16 alloc_frame_near(int preferred_mc);
   void zero_frame(u16 frame_no);
   void install_mapping(u64 page_vaddr, u16 frame_no, bool writable);
-  u64 page_vaddr_of(u64 page_idx) const;
 
   // ---- integrity layer (armed only; see DESIGN.md §15) ----
 
@@ -200,7 +206,6 @@ class SvmRuntime final : public proto::ProtocolEnv,
   mbox::MailboxSystem& mbox_;
   SvmDomain& domain_;
   scc::Core& core_;
-  int dir_width_ = 48;  // directory sharer width = the die's core count
 
   proto::MetaWord meta_word_;
   proto::SvmStats stats_;
@@ -210,24 +215,8 @@ class SvmRuntime final : public proto::ProtocolEnv,
   u16 frame_batch_next_ = 0;
   u16 frame_batch_end_ = 0;
 
-  std::vector<RegionAttrs> regions_;
-
-  // ---- flat per-page lookup tables (host-side, built in the ctor) ----
-  //
-  // The metadata words live in *simulated* memory; what these tables
-  // flatten is the host-side address arithmetic for reaching them. The
-  // old path recomputed base + stride * page (with an off-die/MPB branch
-  // and divisions for the scratchpad) on every MetaStore access — several
-  // per protocol transition. Here every per-page physical address is
-  // precomputed once, indexed by (page - page_index_base_).
-  u32 page_shift_ = 0;          // log2(page_bytes)
-  u64 page_index_base_ = 0;     // this domain's first global page index
-  std::vector<u64> owner_paddr_;
-  std::vector<u64> scratch_paddr_;
-  std::vector<u64> sharer_paddr_;  // empty unless read replication
-  /// Page index (domain-relative) -> region id, kNoRegion where unmapped.
-  static constexpr u16 kNoRegion = 0xffff;
-  std::vector<u16> region_id_by_page_;
+  /// Read-only flag per region id (Section 6.4), one per alloc reached.
+  std::vector<bool> region_readonly_;
 
   // ---- protocol-mail resilience (all host-side bookkeeping) ----
 

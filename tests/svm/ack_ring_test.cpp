@@ -3,11 +3,11 @@
 // from the previous sequence epoch cannot swallow fresh ACKs). These are
 // exactly the paths a simulated run would need ~65k protocol round-trips
 // to reach, hence the standalone class and this direct test.
-#include "svm/ack_ring.hpp"
+#include "mailbox/reliable.hpp"
 
 #include <gtest/gtest.h>
 
-namespace msvm::svm {
+namespace msvm::mbox {
 namespace {
 
 using Admit = AckRing::Admit;
@@ -76,4 +76,4 @@ TEST(AckRing, SecondWrapAlsoCounted) {
 }
 
 }  // namespace
-}  // namespace msvm::svm
+}  // namespace msvm::mbox
