@@ -15,13 +15,18 @@
 //     miss", Section 7.2.2).
 //   - each line carries the MPBT tag bit; CL1INVMB invalidates exactly the
 //     tagged lines (invalidate_mpbt()).
+//
+// Headers and payloads live in zero-on-demand pages (sim::ZeroPages): an
+// all-zero header is an invalid line, so construction writes nothing and a
+// cache the program never fills (an L2 that only MPBT traffic bypasses)
+// costs no host memory.
 #pragma once
 
 #include <cassert>
 #include <cstring>
-#include <vector>
 
 #include "sim/types.hpp"
+#include "sim/zero_pages.hpp"
 
 namespace msvm::scc {
 
@@ -31,19 +36,13 @@ class Cache {
       : line_bytes_(line_bytes),
         assoc_(assoc),
         num_sets_(total_bytes / line_bytes / assoc),
-        lines_(static_cast<std::size_t>(num_sets_) * assoc),
-        data_(static_cast<std::size_t>(num_sets_) * assoc * line_bytes, 0) {
+        headers_(num_lines() * sizeof(Line)),
+        data_(num_lines() * line_bytes) {
     assert(num_sets_ > 0 && (num_sets_ & (num_sets_ - 1)) == 0 &&
            "set count must be a power of two");
     assert((line_bytes & (line_bytes - 1)) == 0 &&
            "line size must be a power of two");
     while ((u32{1} << line_shift_) < line_bytes) ++line_shift_;
-    // Wire each line header to its slice of the flat payload slab. Both
-    // vectors are sized once here and never reallocated, so the interior
-    // pointers stay valid for the cache's lifetime (copying is deleted).
-    for (std::size_t i = 0; i < lines_.size(); ++i) {
-      lines_[i].data = data_.data() + i * line_bytes_;
-    }
   }
 
   Cache(const Cache&) = delete;
@@ -56,7 +55,7 @@ class Cache {
   u64 line_addr(u64 paddr) const { return paddr & ~u64{line_bytes_ - 1}; }
 
   /// True if the line containing `paddr` is present (no LRU update).
-  bool probe(u64 paddr) const { return find(paddr) != nullptr; }
+  bool probe(u64 paddr) const { return find(paddr) != kMiss; }
 
   /// Reads `size` bytes if present; returns false on miss. Hit updates
   /// LRU. The access must not straddle a line boundary.
@@ -81,76 +80,95 @@ class Cache {
   /// performs the copy itself); nullptr on a miss, with no state change.
   /// This is the single lookup the Core's inlined L1-hit fast path does.
   u8* hit_bytes(u64 paddr) {
-    Line* line = find(paddr);
-    if (line == nullptr) return nullptr;
-    line->stamp = ++tick_;
-    return line_data(line);
+    const std::size_t idx = find(paddr);
+    if (idx == kMiss) return nullptr;
+    lines()[idx].stamp = ++tick_;
+    return payload(idx);
   }
 
   /// Allocates (fills) the line containing `paddr` with `line_data`
   /// (exactly line_bytes() bytes), evicting the set's LRU way. Clean
   /// write-through caches never need writeback on eviction.
   void fill(u64 paddr, const void* line_data, bool mpbt) {
-    const u64 tag = line_addr(paddr);
-    Line* victim = find(paddr);
-    if (victim == nullptr) {
-      const u32 set = set_index(paddr);
-      victim = &lines_[static_cast<std::size_t>(set) * assoc_];
-      for (u32 w = 1; w < assoc_; ++w) {
-        Line& cand = lines_[static_cast<std::size_t>(set) * assoc_ + w];
-        if (!victim->valid) break;
-        if (!cand.valid || cand.stamp < victim->stamp) victim = &cand;
+    std::size_t idx = find(paddr);
+    if (idx == kMiss) {
+      const std::size_t first = static_cast<std::size_t>(set_index(paddr)) *
+                                assoc_;
+      idx = first;
+      for (std::size_t w = first + 1; w < first + assoc_; ++w) {
+        const Line& victim = lines()[idx];
+        if (!victim.valid) break;
+        if (!lines()[w].valid || lines()[w].stamp < victim.stamp) idx = w;
       }
     }
-    victim->valid = true;
-    victim->mpbt = mpbt;
-    victim->tag = tag;
-    victim->stamp = ++tick_;
-    std::memcpy(this->line_data(victim), line_data, line_bytes_);
+    Line& line = lines()[idx];
+    line.valid = true;
+    line.mpbt = mpbt;
+    line.tag = line_addr(paddr);
+    line.stamp = ++tick_;
+    std::memcpy(payload(idx), line_data, line_bytes_);
   }
 
   void invalidate_line(u64 paddr) {
-    if (Line* line = find(paddr)) line->valid = false;
+    const std::size_t idx = find(paddr);
+    if (idx != kMiss) lines()[idx].valid = false;
   }
 
-  /// CL1INVMB: invalidate every line tagged as MPBT memory type.
+  /// CL1INVMB: invalidate every line tagged as MPBT memory type. Like
+  /// invalidate_all(), it writes only valid lines, so never-filled header
+  /// pages stay untouched.
   void invalidate_mpbt() {
-    for (auto& line : lines_) {
+    for (std::size_t i = 0; i < num_lines(); ++i) {
+      Line& line = lines()[i];
       if (line.valid && line.mpbt) line.valid = false;
     }
   }
 
   void invalidate_all() {
-    for (auto& line : lines_) line.valid = false;
+    for (std::size_t i = 0; i < num_lines(); ++i) {
+      Line& line = lines()[i];
+      if (line.valid) line.valid = false;
+    }
   }
 
   std::size_t valid_line_count() const {
     std::size_t n = 0;
-    for (const auto& line : lines_) n += line.valid ? 1 : 0;
+    for (std::size_t i = 0; i < num_lines(); ++i) n += lines()[i].valid;
     return n;
   }
 
   /// Test hook: directly inspect a cached line's bytes (nullptr if absent).
   const u8* peek_line(u64 paddr) const {
-    const Line* line = find(paddr);
-    return line ? line_data(line) : nullptr;
+    const std::size_t idx = find(paddr);
+    return idx == kMiss ? nullptr : payload(idx);
   }
 
  private:
-  // Line header: metadata plus a pointer to the line's slice of the flat
-  // payload slab (data_), so a hit finds header and payload address in
-  // one contiguous 32-byte record instead of chasing a per-line heap
-  // allocation or dividing pointer offsets.
+  // Line header. Its payload is the idx-th line_bytes_ slice of the flat
+  // slab (data_), addressed from the header's index, so a header needs no
+  // pointer and all-zero bytes are a valid (invalid-line) header.
   struct Line {
-    u64 tag = 0;
-    u64 stamp = 0;
-    u8* data = nullptr;
-    bool valid = false;
-    bool mpbt = false;
+    u64 tag;
+    u64 stamp;
+    bool valid;
+    bool mpbt;
   };
 
-  static u8* line_data(Line* line) { return line->data; }
-  static const u8* line_data(const Line* line) { return line->data; }
+  static constexpr std::size_t kMiss = ~std::size_t{0};
+
+  std::size_t num_lines() const {
+    return static_cast<std::size_t>(num_sets_) * assoc_;
+  }
+
+  Line* lines() { return reinterpret_cast<Line*>(headers_.data()); }
+  const Line* lines() const {
+    return reinterpret_cast<const Line*>(headers_.data());
+  }
+
+  u8* payload(std::size_t idx) { return data_.data() + (idx << line_shift_); }
+  const u8* payload(std::size_t idx) const {
+    return data_.data() + (idx << line_shift_);
+  }
 
   u32 set_index(u64 paddr) const {
     return static_cast<u32>((paddr >> line_shift_) & (num_sets_ - 1));
@@ -160,19 +178,16 @@ class Cache {
     return static_cast<u32>(paddr & (line_bytes_ - 1));
   }
 
-  const Line* find(u64 paddr) const {
+  /// Index of the valid line holding `paddr`, or kMiss.
+  std::size_t find(u64 paddr) const {
     const u64 tag = line_addr(paddr);
-    const u32 set = set_index(paddr);
-    for (u32 w = 0; w < assoc_; ++w) {
-      const Line& line = lines_[static_cast<std::size_t>(set) * assoc_ + w];
-      if (line.valid && line.tag == tag) return &line;
+    const std::size_t first = static_cast<std::size_t>(set_index(paddr)) *
+                              assoc_;
+    for (std::size_t i = first; i < first + assoc_; ++i) {
+      const Line& line = lines()[i];
+      if (line.valid && line.tag == tag) return i;
     }
-    return nullptr;
-  }
-
-  Line* find(u64 paddr) {
-    return const_cast<Line*>(
-        static_cast<const Cache*>(this)->find(paddr));
+    return kMiss;
   }
 
   u32 line_bytes_;
@@ -180,8 +195,8 @@ class Cache {
   u32 assoc_;
   u32 num_sets_;
   u64 tick_ = 0;
-  std::vector<Line> lines_;
-  std::vector<u8> data_;  // flat payload slab, line_bytes_ per line
+  sim::ZeroPages headers_;  // num_lines() Line records
+  sim::ZeroPages data_;     // flat payload slab, line_bytes_ per line
 };
 
 }  // namespace msvm::scc

@@ -9,6 +9,10 @@
 #include <cstring>
 #include <new>
 
+#if defined(__SANITIZE_ADDRESS__)
+#include <sanitizer/common_interface_defs.h>
+#endif
+
 namespace msvm::sim {
 
 namespace {
@@ -18,6 +22,59 @@ namespace {
 /// independent simulations on different host threads (e.g. parallel gtest
 /// shards) from interfering.
 thread_local Fiber* g_current_fiber = nullptr;
+
+// AddressSanitizer must be told about every stack switch: otherwise the
+// first throw (or other no-return call) on a fiber stack makes it try to
+// unpoison the span between the fiber's and the thread's stacks, which
+// reports a bogus stack-buffer-overflow. Each switch is bracketed: the
+// context being left calls an asan_leave*() with the destination stack,
+// and the context being entered calls an asan_enter*() right after the
+// swap. All of them compile to nothing in a build without ASan.
+#if defined(__SANITIZE_ADDRESS__)
+thread_local const void* g_main_stack_bottom = nullptr;
+thread_local std::size_t g_main_stack_size = 0;
+thread_local void* g_main_fake_stack = nullptr;
+thread_local bool g_entering_from_main = false;
+
+/// `fake_stack_save` receives the leaving context's fake stack, or is
+/// nullptr when the leaving context never runs again.
+void asan_leave(void** fake_stack_save, const void* dest_bottom,
+                std::size_t dest_size) {
+  __sanitizer_start_switch_fiber(fake_stack_save, dest_bottom, dest_size);
+}
+
+void asan_leave_main(const void* fiber_bottom, std::size_t fiber_size) {
+  g_entering_from_main = true;
+  asan_leave(&g_main_fake_stack, fiber_bottom, fiber_size);
+}
+
+void asan_leave_to_main(void** fake_stack_save) {
+  asan_leave(fake_stack_save, g_main_stack_bottom, g_main_stack_size);
+}
+
+/// Called on the entered fiber stack. A fiber entered from main learns the
+/// main stack's bounds here, which every later switch back to main needs.
+void asan_enter(void* fake_stack) {
+  const void* from_bottom = nullptr;
+  std::size_t from_size = 0;
+  __sanitizer_finish_switch_fiber(fake_stack, &from_bottom, &from_size);
+  if (g_entering_from_main) {
+    g_entering_from_main = false;
+    g_main_stack_bottom = from_bottom;
+    g_main_stack_size = from_size;
+  }
+}
+
+void asan_enter_main() {
+  __sanitizer_finish_switch_fiber(g_main_fake_stack, nullptr, nullptr);
+}
+#else
+void asan_leave(void**, const void*, std::size_t) {}
+void asan_leave_main(const void*, std::size_t) {}
+void asan_leave_to_main(void**) {}
+void asan_enter(void*) {}
+void asan_enter_main() {}
+#endif
 
 }  // namespace
 
@@ -97,14 +154,18 @@ void Fiber::resume() {
   assert(!finished_ && "cannot resume a finished fiber");
   started_ = true;
   g_current_fiber = this;
+  asan_leave_main(stack_base_, map_bytes_);
   msvm_fiber_swap(&main_rsp_, &fiber_rsp_);
+  asan_enter_main();
   g_current_fiber = nullptr;
 }
 
 void Fiber::yield_to_main() {
   Fiber* self = g_current_fiber;
   assert(self != nullptr && "yield_to_main() called outside any fiber");
+  asan_leave_to_main(&self->asan_fake_stack_);
   msvm_fiber_swap(&self->fiber_rsp_, &self->main_rsp_);
+  asan_enter(self->asan_fake_stack_);
 }
 
 void Fiber::transfer(Fiber& from, Fiber& to) {
@@ -115,15 +176,19 @@ void Fiber::transfer(Fiber& from, Fiber& to) {
   to.main_rsp_ = from.main_rsp_;
   to.started_ = true;
   g_current_fiber = &to;
+  asan_leave(&from.asan_fake_stack_, to.stack_base_, to.map_bytes_);
   msvm_fiber_swap(&from.fiber_rsp_, &to.fiber_rsp_);
   // Control returns here when some context switches back into `from`;
   // that resumer (resume() or another transfer()) has already updated
-  // g_current_fiber, so nothing must be touched after the swap.
+  // g_current_fiber, so nothing but the sanitizer bookkeeping of this
+  // stack may be touched after the swap.
+  asan_enter(from.asan_fake_stack_);
 }
 
 Fiber* Fiber::current() { return g_current_fiber; }
 
 void Fiber::trampoline() {
+  asan_enter(nullptr);  // first entry: no fake stack to restore yet
   Fiber* self = g_current_fiber;
   assert(self != nullptr);
   self->entry_();
@@ -131,7 +196,11 @@ void Fiber::trampoline() {
   // Release the closure eagerly: it may own captures whose destructors the
   // caller expects to run when the fiber completes, not when destroyed.
   self->entry_ = nullptr;
-  Fiber::yield_to_main();
+  // Leaving for good: a null save slot lets ASan free this fiber's fake
+  // stack. Switch directly rather than via yield_to_main(), which would
+  // keep it.
+  asan_leave_to_main(nullptr);
+  msvm_fiber_swap(&self->fiber_rsp_, &self->main_rsp_);
   // A finished fiber must never be resumed again.
   std::fprintf(stderr, "msvm::sim::Fiber resumed after completion\n");
   std::abort();

@@ -71,6 +71,7 @@ class Fiber {
   std::size_t map_bytes_ = 0;
   void* fiber_rsp_ = nullptr;  // saved rsp while suspended
   void* main_rsp_ = nullptr;   // saved rsp of the resuming context
+  void* asan_fake_stack_ = nullptr;  // ASan fake stack while suspended
   bool started_ = false;
   bool finished_ = false;
 };

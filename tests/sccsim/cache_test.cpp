@@ -138,5 +138,43 @@ TEST(Cache, CapacityIsRespected) {
   EXPECT_LE(c.valid_line_count(), 32u);
 }
 
+TEST(Cache, EveryWayOfAnL2ShapedCacheKeepsItsOwnPayload) {
+  // Payloads are addressed from the line index; a wrong index would alias
+  // two ways or two sets onto one slice of the slab.
+  Cache c(256 * 1024, 4, kLine);
+  const u64 sets = c.num_sets();
+  const u64 lines = sets * c.assoc();
+  // Line n maps to set n % sets; consecutive multiples of `sets` fill the
+  // ways of one set, so nothing is evicted.
+  auto payload = [](u64 n) {
+    std::vector<u8> line(kLine);
+    for (u32 i = 0; i < kLine; ++i) {
+      line[i] = static_cast<u8>((n * 31 + i) ^ (n >> 8));
+    }
+    return line;
+  };
+  for (u64 n = 0; n < lines; ++n) {
+    c.fill(n * kLine, payload(n).data(), /*mpbt=*/(n & 1) != 0);
+  }
+  EXPECT_EQ(c.valid_line_count(), lines);
+  for (u64 n = 0; n < lines; ++n) {
+    const u8* bytes = c.peek_line(n * kLine);
+    ASSERT_NE(bytes, nullptr) << "line " << n;
+    ASSERT_EQ(std::memcmp(bytes, payload(n).data(), kLine), 0) << "line " << n;
+  }
+  c.invalidate_mpbt();
+  EXPECT_EQ(c.valid_line_count(), lines / 2);
+}
+
+TEST(Cache, InvalidatingANeverFilledCacheLeavesItEmpty) {
+  Cache c(256 * 1024, 4, kLine);
+  c.invalidate_all();
+  EXPECT_EQ(c.valid_line_count(), 0u);
+  c.invalidate_mpbt();
+  EXPECT_EQ(c.valid_line_count(), 0u);
+  u64 out = 0;
+  EXPECT_FALSE(c.read(0, &out, 8));
+}
+
 }  // namespace
 }  // namespace msvm::scc

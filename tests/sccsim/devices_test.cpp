@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <vector>
 
 #include "sccsim/gic.hpp"
 #include "sccsim/memory.hpp"
@@ -136,6 +137,87 @@ TEST(Memory, IndependentTasRegisters) {
   mem.tas_write_release(1);
   EXPECT_TRUE(mem.tas_read_acquire(1));
   EXPECT_FALSE(mem.tas_read_acquire(2));
+}
+
+// Every device region with its first byte and one past its last.
+struct Region {
+  const char* name;
+  u64 begin;
+  u64 end;
+};
+
+std::vector<Region> regions(const Memory& mem, const ChipConfig& cfg) {
+  std::vector<Region> out = {
+      {"shared", kSharedBase, kSharedBase + cfg.shared_dram_bytes}};
+  for (int c = 0; c < cfg.num_cores; ++c) {
+    const u64 priv = mem.map().private_base(c);
+    out.push_back({"private", priv, priv + cfg.private_dram_bytes});
+    const u64 mpb = mem.map().mpb_base(c);
+    out.push_back({"mpb", mpb, mpb + cfg.mpb_bytes});
+  }
+  return out;
+}
+
+TEST(Memory, FreshRegionsReadZero) {
+  ChipConfig cfg = mem_config();
+  Memory mem(cfg);
+  for (const Region& r : regions(mem, cfg)) {
+    for (u64 paddr = r.begin; paddr < r.end; paddr += 512) {
+      u64 out = ~u64{0};
+      mem.read(paddr, &out, 8);
+      ASSERT_EQ(out, 0u) << r.name << " at 0x" << std::hex << paddr;
+    }
+  }
+}
+
+TEST(Memory, FirstAndLastByteOfEveryRegionRoundTrip) {
+  ChipConfig cfg = mem_config();
+  Memory mem(cfg);
+  const std::vector<Region> rs = regions(mem, cfg);
+  u8 tag = 1;
+  for (const Region& r : rs) {
+    mem.write(r.begin, &tag, 1);
+    const u8 last = static_cast<u8>(tag + 1);
+    mem.write(r.end - 1, &last, 1);
+    tag = static_cast<u8>(tag + 2);
+  }
+  tag = 1;
+  for (const Region& r : rs) {
+    u8 out = 0;
+    mem.read(r.begin, &out, 1);
+    EXPECT_EQ(out, tag) << r.name << " first byte";
+    mem.read(r.end - 1, &out, 1);
+    EXPECT_EQ(out, static_cast<u8>(tag + 1)) << r.name << " last byte";
+    tag = static_cast<u8>(tag + 2);
+  }
+}
+
+TEST(MemoryDeath, AccessPastARegionEndAborts) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  ChipConfig cfg = mem_config();
+  const u64 shared_end = kSharedBase + cfg.shared_dram_bytes;
+  const u64 last_core = static_cast<u64>(cfg.num_cores - 1);
+  const u64 private_end =
+      kPrivBase + (last_core + 1) * cfg.private_dram_bytes;
+  const u64 mpb_end = kMpbBase + (last_core + 1) * cfg.mpb_bytes;
+  for (const u64 end : {shared_end, private_end, mpb_end}) {
+    // Starts inside the region, runs four bytes past its end.
+    EXPECT_DEATH(
+        {
+          Memory mem(cfg);
+          u64 out = 0;
+          mem.read(end - 4, &out, 8);
+        },
+        "beyond device bounds");
+  }
+  // Starts past the end of the last private region: no device decodes it.
+  EXPECT_DEATH(
+      {
+        Memory mem(cfg);
+        const u64 value = 1;
+        mem.write(private_end, &value, 8);
+      },
+      "invalid physical access");
 }
 
 }  // namespace
