@@ -378,6 +378,8 @@ int main(int argc, char** argv) {
         switch (o) {
           case Outcome::kCorrect: ++correct; break;
           case Outcome::kCleanHang: ++clean_hangs; break;
+          // No core dies in this campaign: lost data is a wrong result.
+          case Outcome::kDataLoss:
           case Outcome::kWrong: ++wrong; break;
         }
       }

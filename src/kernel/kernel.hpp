@@ -10,63 +10,13 @@
 // callback.
 #pragma once
 
-#include <algorithm>
 #include <functional>
 #include <vector>
 
 #include "sccsim/chip.hpp"
 #include "sccsim/core.hpp"
-#include "sim/fnref.hpp"
 
 namespace msvm::kernel {
-
-/// Tuning for spin_wait below. The defaults reproduce the historical
-/// exponential backoff used by every TAS spin loop in the tree (start at
-/// 16 core cycles, double to a 4096-cycle cap).
-struct SpinWaitOpts {
-  u64 start_cycles = 16;
-  u64 cap_cycles = 4096;
-  const char* site = "kernel.spin";  // wait-site label for hang reports
-  u64 site_arg = 0;                  // e.g. the contended register/page
-  u64 warn_every = 0;                // invoke on_stuck every N failures
-  /// Non-owning (sim::FnRef): SpinWaitOpts is built fresh on every
-  /// contended acquire, and a std::function here heap-allocated whenever
-  /// the diagnostic capture outgrew the small-buffer limit. The callable
-  /// must be a *named* local at the call site (a lambda temporary
-  /// assigned to this member dies at the end of its statement).
-  sim::FnRef<void(u64 spins)> on_stuck;
-};
-
-/// The one exponential-backoff spin loop: try, back off (cooperatively
-/// relaxing so the holder can run), double up to the cap. Replaces the
-/// four hand-rolled copies that used to live in TasSpinlock::lock, the
-/// SVM scratchpad/transfer-lock paths, and svm lock_acquire. The loop is
-/// annotated as a wait site and checks the chip watchdog, so a spin that
-/// never succeeds becomes a structured hang report instead of a silent
-/// livelock; both checks are host-side only and the backoff sequence is
-/// bit-identical to the historical loops.
-template <typename TryAcquire>
-void spin_wait(scc::Core& core, TryAcquire&& try_acquire,
-               const SpinWaitOpts& opts = {}) {
-  scc::Chip& chip = core.chip();
-  sim::BlockScope scope(chip.scheduler().current(), opts.site,
-                        opts.site_arg, static_cast<u64>(core.id()));
-  const TimePs t0 = core.now();
-  u64 spins = 0;
-  u64 backoff_cycles = opts.start_cycles;
-  while (!try_acquire()) {
-    ++spins;
-    if (opts.warn_every != 0 && spins % opts.warn_every == 0 &&
-        opts.on_stuck) {
-      opts.on_stuck(spins);
-    }
-    if (chip.watchdog().check(core.now(), t0, opts.site, core.id())) {
-      chip.scheduler().block();  // parked; teardown unwinds via cancel
-    }
-    core.relax(backoff_cycles * chip.config().core_cycle_ps());
-    backoff_cycles = std::min<u64>(backoff_cycles * 2, opts.cap_cycles);
-  }
-}
 
 class Kernel {
  public:
@@ -135,15 +85,15 @@ class TasSpinlock {
 
   int reg() const { return reg_; }
 
-  /// Acquires, cooperatively yielding between failed attempts so other
-  /// simulated cores can make progress and release. Exponential backoff
-  /// keeps a contended register from hammering the mesh (and keeps the
-  /// simulation host-efficient under heavy contention).
+  /// Acquires, sleeping with exponential backoff between failed attempts
+  /// so other simulated cores can make progress and release (see
+  /// scc::Core::tas_spin). The backoff keeps a contended register from
+  /// hammering the mesh.
   void lock(scc::Core& core) {
-    SpinWaitOpts opts;
-    opts.site = "tas.lock";
-    opts.site_arg = static_cast<u64>(reg_);
-    spin_wait(core, [&] { return core.tas_try_acquire(reg_); }, opts);
+    scc::TasSpin spin(core, reg_, "tas.lock", static_cast<u64>(reg_));
+    while (!core.tas_spin(spin)) {
+      // Handed back only for the caller's dead-holder check: none here.
+    }
   }
 
   void unlock(scc::Core& core) { core.tas_release(reg_); }

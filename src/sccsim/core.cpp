@@ -59,6 +59,11 @@ void Core::tick(TimePs cost) {
 }
 
 void Core::boundary() {
+  boundary_work();
+  chip_.scheduler().maybe_yield();
+}
+
+void Core::boundary_work() {
   if (chip_.faults().enabled()) {
     // Scheduled fail-stop: the core dies between two instructions —
     // mid-protocol, mid-handler, locks held, WCB dirty, whatever the
@@ -94,7 +99,6 @@ void Core::boundary() {
   } else {
     deliver_interrupts();
   }
-  chip_.scheduler().maybe_yield();
 }
 
 void Core::deliver_interrupts() {
@@ -495,10 +499,13 @@ void Core::flush_wcb() {
   }
 }
 
+TimePs Core::tas_latency(int reg) const {
+  return chip_.latency().tas_access(
+      topo_->hops(topo_->coord_of_core(id_), topo_->coord_of_core(reg)));
+}
+
 bool Core::tas_try_acquire(int reg) {
-  const int hops =
-      topo_->hops(topo_->coord_of_core(id_), topo_->coord_of_core(reg));
-  tick(chip_.latency().tas_access(hops));
+  tick(tas_latency(reg));
   ++counters_.tas_acquires;
   const bool got = chip_.memory().tas_read_acquire(reg);
   if (!got) ++counters_.tas_spins;
@@ -509,11 +516,146 @@ bool Core::tas_try_acquire(int reg) {
 }
 
 void Core::tas_release(int reg) {
-  const int hops =
-      topo_->hops(topo_->coord_of_core(id_), topo_->coord_of_core(reg));
-  tick(chip_.latency().tas_access(hops));
+  tick(tas_latency(reg));
   if (chip_.tracking_deaths()) chip_.clear_tas_owner(reg);
   chip_.memory().tas_write_release(reg);
+}
+
+// ---------------------------------------------------------------------------
+// TAS lock wait and its poll replay
+
+TasSpin::TasSpin(Core& core, int reg, const char* site, u64 site_arg,
+                 u64 warn_every)
+    : scope_(core.actor(), site, site_arg, static_cast<u64>(core.id())),
+      reg_(reg),
+      site_(site),
+      warn_every_(warn_every),
+      lat_ps_(core.tas_latency(reg)),
+      t0_(core.now()) {}
+
+template <typename Suspend>
+void Core::park(TasSpin& spin, Suspend&& suspend) {
+  struct Unpark {
+    Core& core;
+    ~Unpark() {  // also on the CancelledError unwind
+      core.actor_->set_poll_hook(nullptr);
+      core.parked_spin_ = nullptr;
+    }
+  } unpark{*this};
+  parked_spin_ = &spin;
+  actor_->set_poll_hook(this);
+  suspend();
+}
+
+bool Core::tas_spin(TasSpin& s) {
+  using Phase = TasSpin::Phase;
+  sim::Scheduler& sched = chip_.scheduler();
+  // Each step reads the phase afresh: while the fiber is parked, the
+  // replay may have moved the wait on by any number of polls.
+  for (;;) {
+    switch (s.phase_) {
+      case Phase::kPoll:
+        // tick(), with boundary()'s yield as a parking point.
+        actor_->advance(s.lat_ps_);
+        counters_.busy_ps += s.lat_ps_;
+        s.phase_ = Phase::kRead;
+        if (actor_->clock() >= next_boundary_) {
+          boundary_work();
+          park(s, [&] { sched.maybe_yield(); });
+        }
+        break;
+      case Phase::kRead:
+        ++counters_.tas_acquires;
+        if (chip_.memory().tas_read_acquire(s.reg_)) {
+          if (chip_.tracking_deaths()) chip_.note_tas_owner(s.reg_, id_);
+          return true;
+        }
+        ++counters_.tas_spins;
+        ++s.spins_;
+        s.phase_ = Phase::kBackoff;
+        if (chip_.dead_count() > 0 ||
+            (s.warn_every_ != 0 && s.spins_ % s.warn_every_ == 0)) {
+          return false;  // the caller's turn
+        }
+        break;
+      case Phase::kBackoff: {
+        if (chip_.watchdog().check(now(), s.t0_, s.site_, id_)) {
+          sched.block();  // parked; teardown unwinds via cancel
+        }
+        const TimePs gap = s.backoff_cycles_ * cfg_.core_cycle_ps();
+        if (in_irq_ || irq_mask_depth_ > 0) {
+          relax(gap);  // cannot sleep here: a plain pause
+          s.backoff_cycles_ =
+              std::min(s.backoff_cycles_ * 2, TasSpin::kCapCycles);
+          s.phase_ = Phase::kPoll;
+          break;
+        }
+        // relax(gap), split at its sleep so the replay can take over.
+        s.sleep_t0_ = actor_->clock();
+        s.phase_ = Phase::kWake;
+        park(s, [&] { sched.block_until(s.sleep_t0_ + gap); });
+        break;
+      }
+      case Phase::kWake:
+        counters_.busy_ps += actor_->clock() - s.sleep_t0_;
+        deliver_interrupts();
+        s.backoff_cycles_ =
+            std::min(s.backoff_cycles_ * 2, TasSpin::kCapCycles);
+        s.phase_ = Phase::kPoll;
+        break;
+    }
+  }
+}
+
+bool Core::replay(const Pop& pop, Requeue& out) {
+  using Phase = TasSpin::Phase;
+  TasSpin& s = *parked_spin_;
+  if (chip_.faults().enabled() || chip_.dead_count() > 0 || in_irq_ ||
+      irq_mask_depth_ > 0 || chip_.gic().has_pending(id_)) {
+    return false;
+  }
+  TimePs t = pop.at;  // the clock once the pop is taken
+  TimePs busy = 0;
+  u64 backoff = s.backoff_cycles_;
+  bool crossed = false;
+  bool read = true;
+  if (s.phase_ == Phase::kWake) {
+    // The sleep must have timed out (an IPI wake has work to deliver),
+    // and deliver_interrupts() must find no timer due.
+    if (!pop.timed_out || t >= next_timer_) return false;
+    busy = t - s.sleep_t0_ + s.lat_ps_;
+    backoff = std::min(backoff * 2, TasSpin::kCapCycles);
+    t += s.lat_ps_;  // the poll's access tick
+    crossed = t >= next_boundary_;
+    if (crossed) {
+      if (t >= next_timer_) return false;
+      // boundary()'s maybe_yield against the rest of the lane: a yield
+      // re-queues the core at t, and the read is the next pop.
+      read = t < pop.window_end && pop.runner_up >= t;
+    }
+  }
+  const u64 spins = s.spins_ + 1;
+  if (read && (chip_.memory().tas_peek(s.reg_) == 0 ||
+               (s.warn_every_ != 0 && spins % s.warn_every_ == 0) ||
+               chip_.watchdog().due(t, s.t0_))) {
+    return false;  // the poll wins, or the caller or watchdog acts
+  }
+  actor_->advance_to(t);
+  counters_.busy_ps += busy;
+  if (crossed) next_boundary_ = t + boundary_interval_ps_;
+  s.backoff_cycles_ = backoff;
+  if (!read) {
+    s.phase_ = Phase::kRead;
+    out = {t, /*blocked=*/false};
+    return true;
+  }
+  ++counters_.tas_acquires;
+  ++counters_.tas_spins;
+  s.spins_ = spins;
+  s.sleep_t0_ = t;
+  s.phase_ = Phase::kWake;
+  out = {t + backoff * cfg_.core_cycle_ps(), /*blocked=*/true};
+  return true;
 }
 
 void Core::raise_ipi(int target) {

@@ -33,6 +33,7 @@
 namespace msvm::scc {
 
 class Chip;
+class TasSpin;
 
 /// How an access moves through the cache hierarchy.
 enum class MemPolicy : u8 {
@@ -41,7 +42,7 @@ enum class MemPolicy : u8 {
   kCachedWT,   // L1 + L2, write-through, read-allocate only
 };
 
-class Core {
+class Core : private sim::PollHook {
  public:
   Core(Chip& chip, int id);
 
@@ -96,6 +97,20 @@ class Core {
   /// One attempt on the Test-and-Set register `reg` (a read): true when
   /// the lock was free and is now held by this core.
   bool tas_try_acquire(int reg);
+
+  /// The one TAS lock wait: poll the register, back off (sleeping, so
+  /// the holder can run), double the backoff up to a cap, repeat. Returns
+  /// true once the register is held. Returns false after a failed poll
+  /// when the caller has work to do: every `warn_every`th failure, and
+  /// after each failure while some core is dead (to break a lock its
+  /// dead holder orphaned). Calling again resumes the same wait.
+  ///
+  /// While the fiber sleeps between polls, the scheduler replays failed
+  /// polls in place (PollHook) instead of resuming it; see replay().
+  bool tas_spin(TasSpin& spin);
+
+  /// Virtual time of one access to TAS register `reg` from this core.
+  TimePs tas_latency(int reg) const;
 
   /// Releases Test-and-Set register `reg` (a write).
   void tas_release(int reg);
@@ -271,12 +286,35 @@ class Core {
   void deliver_interrupts();
   void deliver_deferred();
   void boundary();
+  void boundary_work();  // boundary() minus its closing maybe_yield
+
+  // ---- TAS poll replay ----------------------------------------------
+  //
+  // Like the L1-hit fast path above: every precondition is checked
+  // before anything is mutated, so declining a pop is free, and a
+  // replayed pop leaves clocks, counters, next_boundary_ and the event
+  // queue exactly as the resumed fiber would have.
+
+  /// Runs `suspend` with this core offered as the actor's poll hook for
+  /// `spin`; the replay may advance `spin` while the fiber is parked.
+  template <typename Suspend>
+  void park(TasSpin& spin, Suspend&& suspend);
+
+  /// sim::PollHook: replays one pop of a parked tas_spin() — the wake
+  /// from a backoff sleep and the poll's access tick, then (unless the
+  /// tick yields, in which case a second pop reads) the failed read and
+  /// the next backoff sleep. Declines whenever anything else could
+  /// happen: IRQs masked, an IPI pending, a timer due, faults or dead
+  /// cores, a watchdog trip or a caller turn due, an IPI wake, or a free
+  /// register.
+  bool replay(const Pop& pop, Requeue& out) override;
 
   Chip& chip_;
   const ChipConfig& cfg_;
   const Topology* topo_;  // cached for the device-latency hot path
   int id_;
   sim::Actor* actor_ = nullptr;
+  TasSpin* parked_spin_ = nullptr;  // the tas_spin() parked in park()
 
   Cache l1_;
   Cache l2_;
@@ -315,6 +353,47 @@ class Core {
   static constexpr std::size_t kTlbEntries = 64;
   std::array<TlbEntry, kTlbEntries> tlb_;
   u64 tlb_epoch_ = ~u64{0};
+};
+
+/// One TAS lock wait (Core::tas_spin). Holds the loop's state outside the
+/// loop's stack frame, so the scheduler's poll replay can advance it
+/// while the fiber stays parked, and annotates the wait site for hang
+/// reports for as long as it lives.
+class TasSpin {
+ public:
+  /// Backoff between polls in core cycles: 16, doubling to 4096.
+  static constexpr u64 kStartCycles = 16;
+  static constexpr u64 kCapCycles = 4096;
+
+  /// `site`/`site_arg` name the wait (e.g. "svm.transfer_lock", page);
+  /// `warn_every` != 0 hands the caller every warn_every-th failure.
+  TasSpin(Core& core, int reg, const char* site, u64 site_arg,
+          u64 warn_every = 0);
+
+  /// Failed polls so far.
+  u64 spins() const { return spins_; }
+
+ private:
+  friend class Core;
+
+  // Where the wait stands: the next step tas_spin (or the replay) takes.
+  enum class Phase : u8 {
+    kPoll,     // charge the poll's access tick
+    kRead,     // read the register
+    kBackoff,  // watchdog check, then sleep
+    kWake,     // back from the sleep: account it, take interrupts
+  };
+
+  sim::BlockScope scope_;
+  int reg_;
+  const char* site_;
+  u64 warn_every_;
+  TimePs lat_ps_;        // one poll of reg_ from this core
+  TimePs t0_;            // wait start (watchdog)
+  TimePs sleep_t0_ = 0;  // current backoff sleep's start
+  u64 spins_ = 0;
+  u64 backoff_cycles_ = kStartCycles;
+  Phase phase_ = Phase::kPoll;
 };
 
 }  // namespace msvm::scc

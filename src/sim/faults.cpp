@@ -285,8 +285,7 @@ std::string FaultPlan::to_spec() const {
 
 bool Watchdog::check(TimePs now, TimePs since, const char* site,
                      int core_id) {
-  if (limit_ == 0 || tripped_) return tripped_;
-  if (now < since || now - since <= limit_) return false;
+  if (!due(now, since) || tripped_) return tripped_;
   tripped_ = true;
 
   std::ostringstream oss;

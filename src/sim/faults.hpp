@@ -373,6 +373,12 @@ class Watchdog {
   /// `site`/`core_id` name the wait that noticed the hang first.
   bool check(TimePs now, TimePs since, const char* site, int core_id);
 
+  /// True when check(now, since, ...) would return true; changes nothing.
+  bool due(TimePs now, TimePs since) const {
+    return limit_ != 0 &&
+           (tripped_ || (now >= since && now - since > limit_));
+  }
+
   bool tripped() const { return tripped_; }
   const std::string& report() const { return report_; }
 

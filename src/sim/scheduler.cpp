@@ -180,6 +180,7 @@ Actor* Scheduler::take_next() {
     Lane& ln = lanes_[cur_lane_];
     while (!ln.heap.empty() && ln.heap[0].time < window_end_) {
       const HeapEntry top = ln.heap[0];
+      if (top.actor->poll_hook_ != nullptr && replay_root(ln)) continue;
       heap_remove_at(ln, 0);
       Actor* next = top.actor;
       if (next->state_ == Actor::State::kFinished ||
@@ -197,6 +198,26 @@ Actor* Scheduler::take_next() {
     }
     if (!advance_window()) return nullptr;
   }
+}
+
+bool Scheduler::replay_root(Lane& ln) {
+  HeapEntry& top = ln.heap[0];
+  Actor& a = *top.actor;
+  // What the fiber would compare against after this pop: the lane's
+  // earliest remaining entry, i.e. the smaller of the root's children.
+  const std::size_t n = ln.heap.size();
+  TimePs runner_up = n > 1 ? ln.heap[1].time : kTimeNever;
+  if (n > 2 && ln.heap[2].time < runner_up) runner_up = ln.heap[2].time;
+  const PollHook::Pop pop{top.time, a.state_ == Actor::State::kBlocked,
+                          runner_up, window_end_};
+  PollHook::Requeue out{};
+  if (!a.poll_hook_->replay(pop, out)) return false;
+  assert(out.at >= pop.at);
+  ++ln.dispatched;
+  a.state_ = out.blocked ? Actor::State::kBlocked : Actor::State::kScheduled;
+  top.time = out.at;
+  sift_down(ln, 0);
+  return true;
 }
 
 bool Scheduler::advance_window() {

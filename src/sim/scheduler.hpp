@@ -38,6 +38,14 @@
 // default) the window is infinite and the behaviour — and the event
 // order — is exactly the classic single-heap scheduler. See DESIGN.md
 // §12 for the lookahead/determinism argument.
+//
+// Poll replay (PollHook): an actor parked in a loop whose next step is
+// fully predictable (a failed Test-and-Set poll followed by another
+// backoff sleep) may install a hook. When take_next pops that actor's
+// entry it offers the pop to the hook first; a hook that replays the
+// step re-keys the root entry in place and the fiber is never resumed.
+// The pop still counts as a dispatched event, so event and window counts
+// are those of the resumed fiber.
 #pragma once
 
 #include <array>
@@ -67,6 +75,30 @@ struct BlockSite {
   const char* what = nullptr;
   u64 a = 0;
   u64 b = 0;
+};
+
+/// Lets the layer above retire a popped entry without resuming the
+/// actor's fiber (see the header comment and DESIGN.md §12).
+class PollHook {
+ public:
+  /// The popped entry, and what the fiber would see of the lane.
+  struct Pop {
+    TimePs at;          // the entry's time
+    bool timed_out;     // the actor was blocked: its timeout fired
+    TimePs runner_up;   // earliest other entry in the lane (or kTimeNever)
+    TimePs window_end;  // the lane's lookahead bound (kTimeNever: 1 lane)
+  };
+  /// Where the replayed step leaves the actor's entry.
+  struct Requeue {
+    TimePs at;     // new entry time, >= Pop::at
+    bool blocked;  // a timeout entry (actor kBlocked), else kScheduled
+  };
+  /// Returns true after replaying the actor's next step in place and
+  /// filling `out`; false (having changed nothing) to resume the fiber.
+  virtual bool replay(const Pop& pop, Requeue& out) = 0;
+
+ protected:
+  ~PollHook() = default;
 };
 
 /// A schedulable fiber with a virtual clock.
@@ -113,6 +145,11 @@ class Actor {
   /// when no site is annotated.
   std::string describe_sites() const;
 
+  /// Installs (or, with nullptr, removes) the poll hook offered this
+  /// actor's next pops. Set by the running actor right before it
+  /// suspends, cleared once it runs again.
+  void set_poll_hook(PollHook* hook) { poll_hook_ = hook; }
+
  private:
   friend class Scheduler;
 
@@ -130,6 +167,7 @@ class Actor {
   int lane_ = 0;                       // event lane this actor lives in
   std::size_t heap_pos_ = kNotInHeap;  // index into its lane's heap
   WakeReason wake_reason_ = WakeReason::kWoken;
+  PollHook* poll_hook_ = nullptr;
   std::unique_ptr<Fiber> fiber_;
   std::array<BlockSite, kMaxBlockSites> sites_{};
   std::size_t site_depth_ = 0;
@@ -321,10 +359,15 @@ class Scheduler {
   void heap_move(Actor& a, TimePs at);  // re-key the existing entry
 
   /// Pops the earliest live entry of the lane cursor's current window and
-  /// prepares its actor to run (wake reason, clock, state). Advances the
-  /// lane cursor / lookahead window as lanes drain. Returns nullptr when
-  /// every lane is empty.
+  /// prepares its actor to run (wake reason, clock, state). Pops that the
+  /// actor's poll hook replays are counted and re-keyed, not returned.
+  /// Advances the lane cursor / lookahead window as lanes drain. Returns
+  /// nullptr when every lane is empty.
   Actor* take_next();
+
+  /// Offers the lane's root entry to its actor's poll hook; on a replay,
+  /// counts the pop and re-keys the root in place.
+  bool replay_root(Lane& ln);
 
   /// Moves the lane cursor to the next lane with work in the current
   /// window, opening a fresh window when all lanes are drained. Returns

@@ -283,18 +283,14 @@ void Svm::next_touch(u64 vaddr, u64 bytes) {
 void Svm::lock_acquire(int lock_id) {
   ++runtime_->stats().lock_acquires;
   const int reg = domain_.app_lock_reg(lock_id);
-  kernel::SpinWaitOpts opts;
-  opts.site = "svm.lock_acquire";
-  opts.site_arg = static_cast<u64>(lock_id);
-  // A holder that fail-stops leaves the TAS register set forever; after a
-  // stretch of failed tries, check for that and break the orphaned lock
-  // (no-op unless lease detection is on and a core is actually dead, so
-  // clean runs stay bit-identical).
-  auto break_dead = [&](u64) { runtime_->maybe_break_dead_lock(reg); };
-  opts.warn_every = 64;
-  opts.on_stuck = break_dead;
-  kernel::spin_wait(core_, [&] { return core_.tas_try_acquire(reg); },
-                    opts);
+  scc::TasSpin spin(core_, reg, "svm.lock_acquire",
+                    static_cast<u64>(lock_id));
+  // A holder that fail-stops leaves the TAS register set forever; every
+  // 64 failed tries, check for that and break the orphaned lock. The
+  // spin hands failures back only while some core is dead.
+  while (!core_.tas_spin(spin)) {
+    if (spin.spins() % 64 == 0) runtime_->maybe_break_dead_lock(reg);
+  }
   obs::EventBus& bus = core_.chip().bus();
   if (bus.enabled(obs::kCatSync)) {
     bus.publish(obs::Event{core_.now(), static_cast<u64>(lock_id), 0, 0,

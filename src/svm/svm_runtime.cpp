@@ -321,17 +321,8 @@ void SvmRuntime::mapping_fault(u64 vaddr, u64 page_idx, bool is_write,
       vaddr & ~(u64{core_.chip().config().page_bytes} - 1);
 
   const int lock_reg = domain_.scratchpad_lock_reg(page_idx);
-  kernel::SpinWaitOpts lock_opts;
-  lock_opts.site = "svm.scratchpad_lock";
-  lock_opts.site_arg = page_idx;
-  kernel::spin_wait(
-      core_,
-      [&] {
-        if (core_.tas_try_acquire(lock_reg)) return true;
-        maybe_break_dead_lock(lock_reg);
-        return false;
-      },
-      lock_opts);
+  scc::TasSpin lock_spin(core_, lock_reg, "svm.scratchpad_lock", page_idx);
+  while (!core_.tas_spin(lock_spin)) maybe_break_dead_lock(lock_reg);
   u16 entry = meta_word_.scratchpad(page_idx);
 
   if ((entry & kFrameMask) == 0) {
@@ -704,12 +695,11 @@ void SvmRuntime::downgrade_page(u64 page) {
 
 void SvmRuntime::transfer_lock(u64 page) {
   const int treg = domain_.transfer_lock_reg(page);
-  kernel::SpinWaitOpts opts;
-  opts.site = "svm.transfer_lock";
-  opts.site_arg = page;
-  opts.warn_every = 100000;
-  // Named local: opts.on_stuck is a non-owning FnRef (see fnref.hpp).
-  const auto on_stuck = [this, treg, page](u64 /*spins*/) {
+  constexpr u64 kWarnEvery = 100000;
+  scc::TasSpin spin(core_, treg, "svm.transfer_lock", page, kWarnEvery);
+  while (!core_.tas_spin(spin)) {
+    maybe_break_dead_lock(treg);
+    if (spin.spins() % kWarnEvery != 0) continue;
     MSVM_LOG_ERROR(
         "core %d: stuck spinning on transfer lock %d for page %llu "
         "(holder=core %d, holder_page=%llu) t=%.3fms",
@@ -718,15 +708,7 @@ void SvmRuntime::transfer_lock(u64 page) {
         static_cast<unsigned long long>(
             domain_.debug_lock_page_[static_cast<std::size_t>(treg)]),
         ps_to_ms(core_.now()));
-  };
-  opts.on_stuck = on_stuck;
-  kernel::spin_wait(core_,
-                    [&] {
-                      if (core_.tas_try_acquire(treg)) return true;
-                      maybe_break_dead_lock(treg);
-                      return false;
-                    },
-                    opts);
+  }
   domain_.debug_lock_holder_[static_cast<std::size_t>(treg)] = core_.id();
   domain_.debug_lock_page_[static_cast<std::size_t>(treg)] = page;
 }
