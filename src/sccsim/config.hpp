@@ -26,8 +26,8 @@ struct ChipConfig {
   u32 mesh_mhz = 800;
   u32 dram_mhz = 800;
 
-  /// Event lanes for the sharded scheduler (1 = the classic single global
-  /// event heap; >1 shards actors by mesh quadrant, see DESIGN.md §12).
+  /// Has no effect: every chip runs on the scheduler's one event heap.
+  /// Kept, still validated, only because perfbench/ sets it.
   int sched_lanes = 1;
 
   // ---- memory sizes ----
@@ -68,9 +68,8 @@ struct ChipConfig {
   u32 store_hit_cycles = 1;        // write-through update of a present line
   u32 irq_entry_cycles = 400;      // interrupt entry: vector + kernel prologue
   u32 irq_exit_cycles = 200;
-  // P54C data TLB: 64 entries; a miss walks the two-level page table
+  // A data-TLB miss (Core::kTlbEntries) walks the two-level page table
   // (two memory references, mostly cache-resident on the real part).
-  u32 tlb_entries = 64;            // direct-mapped on the page number
   u32 tlb_miss_cycles = 28;
 
   // ---- interrupt / scheduling model ----

@@ -629,9 +629,9 @@ bool Core::replay(const Pop& pop, Requeue& out) {
     crossed = t >= next_boundary_;
     if (crossed) {
       if (t >= next_timer_) return false;
-      // boundary()'s maybe_yield against the rest of the lane: a yield
+      // boundary()'s maybe_yield against the rest of the heap: a yield
       // re-queues the core at t, and the read is the next pop.
-      read = t < pop.window_end && pop.runner_up >= t;
+      read = pop.runner_up >= t;
     }
   }
   const u64 spins = s.spins_ + 1;

@@ -344,8 +344,10 @@ class Core : private sim::PollHook {
   u64 page_off_mask_ = 0;  // page_bytes - 1
   u32 page_shift_ = 0;
 
-  // Host-side translation cache (zero simulated cost): direct-mapped on
-  // vpage, invalidated wholesale whenever the page table's epoch moves.
+  // The data TLB: 64 entries, direct-mapped on the page number (the
+  // P54C's 64-entry data TLB is 4-way set-associative). A hit costs
+  // nothing extra, a miss charges ChipConfig::tlb_miss_cycles. Flushed
+  // whenever the page table's epoch moves.
   struct TlbEntry {
     u64 vpage = ~u64{0};
     Pte pte;

@@ -3,10 +3,10 @@
 // lock used before the scheduler learned to replay failed polls in place
 // (Core::replay). The replay must be invisible: for cores contending on
 // one register, acquisition order and clocks, every per-core counter the
-// spin touches, the per-lane event counts and the lookahead windows must
-// match the reference exactly — with one lane and four, with holds longer
-// than the timer period, IPIs landing mid-backoff, spins with IRQs
-// masked, an armed watchdog, and a caller turn every 64 failures.
+// spin touches and the dispatched event count must match the reference
+// exactly — with holds longer than the timer period, IPIs landing
+// mid-backoff, spins with IRQs masked, an armed watchdog, and a caller
+// turn every 64 failures.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -25,7 +25,6 @@ constexpr int kReg = 5;
 constexpr const char* kSite = "tas.test";
 
 struct Case {
-  int lanes = 1;
   int rounds = 16;
   u64 max_think_cycles = 5'000;
   u64 max_hold_cycles = 40'000;
@@ -47,14 +46,12 @@ struct Result {
   std::vector<std::tuple<int, TimePs>> acquisitions;  // (core, clock)
   std::vector<std::tuple<int, u64, TimePs>> turns;    // (core, spins, clock)
   std::vector<CoreResult> cores;
-  std::vector<u64> lane_dispatched;
-  u64 windows = 0;
+  u64 events = 0;  // scheduler pops, replayed ones included
   std::string hang_report;
   bool operator==(const Result&) const = default;
 };
 
-// Contenders spread over all four mesh quadrants (so over four lanes when
-// the chip shards its scheduler), plus the IPI source.
+// Contenders spread over all four mesh quadrants, plus the IPI source.
 const std::vector<int> kContenders = {0, 7, 13, 18, 25, 31, 38, 46};
 constexpr int kPinger = 20;
 
@@ -93,7 +90,6 @@ Result run_case(const Case& c, bool reference) {
   ChipConfig cfg;
   cfg.shared_dram_bytes = 4 << 20;
   cfg.private_dram_bytes = 1 << 20;
-  cfg.sched_lanes = c.lanes;
   cfg.faults.watchdog_ps = c.watchdog_ps;
   Chip chip(cfg);
   Result out;
@@ -137,10 +133,7 @@ Result run_case(const Case& c, bool reference) {
     out.cores.push_back({chip.core(id).now(), k.busy_ps, k.tas_acquires,
                          k.tas_spins, k.timer_irqs, k.ipi_irqs});
   }
-  for (int i = 0; i < chip.scheduler().num_lanes(); ++i) {
-    out.lane_dispatched.push_back(chip.scheduler().lane_dispatched(i));
-  }
-  out.windows = chip.scheduler().windows_opened();
+  out.events = chip.scheduler().lane_dispatched(0);
   return out;
 }
 
@@ -166,8 +159,7 @@ Result expect_identical(const Case& c) {
     EXPECT_EQ(got.cores[i].timer_irqs, ref.cores[i].timer_irqs);
     EXPECT_EQ(got.cores[i].ipi_irqs, ref.cores[i].ipi_irqs);
   }
-  EXPECT_EQ(got.lane_dispatched, ref.lane_dispatched);
-  EXPECT_EQ(got.windows, ref.windows);
+  EXPECT_EQ(got.events, ref.events);
   EXPECT_EQ(got.hang_report, ref.hang_report);
   EXPECT_TRUE(got == ref);
   EXPECT_GT(total(ref, &CoreResult::tas_spins), 1000u);
@@ -176,69 +168,42 @@ Result expect_identical(const Case& c) {
 
 TEST(TasSpin, MatchesReferenceOneLane) { expect_identical({}); }
 
-TEST(TasSpin, MatchesReferenceFourLanes) {
-  const Result r = expect_identical({.lanes = 4});
-  EXPECT_GT(r.windows, 0u);
-  EXPECT_EQ(r.lane_dispatched.size(), 4u);
-}
-
 TEST(TasSpin, MatchesReferenceWithHoldsPastTheTimerPeriod) {
-  for (const int lanes : {1, 4}) {
-    SCOPED_TRACE("lanes " + std::to_string(lanes));
-    // Up to ~2.5 ms per hold at 533 MHz: spinners sleep through ticks.
-    const Result r = expect_identical(
-        {.lanes = lanes, .rounds = 3, .max_hold_cycles = 1'300'000});
-    EXPECT_GT(total(r, &CoreResult::timer_irqs), 20u);
-  }
+  // Up to ~2.5 ms per hold at 533 MHz: spinners sleep through ticks.
+  const Result r =
+      expect_identical({.rounds = 3, .max_hold_cycles = 1'300'000});
+  EXPECT_GT(total(r, &CoreResult::timer_irqs), 20u);
 }
 
 TEST(TasSpin, MatchesReferenceWithShortWaitsAcrossManyTicks) {
   // Short waits keep the backoff small, so sleeps often end between a
   // tick falling due and the next boundary: the wake must deliver it.
-  for (const int lanes : {1, 4}) {
-    SCOPED_TRACE("lanes " + std::to_string(lanes));
-    const Result r = expect_identical({.lanes = lanes,
-                                       .rounds = 300,
-                                       .max_think_cycles = 20'000,
-                                       .max_hold_cycles = 2'000});
-    EXPECT_GT(total(r, &CoreResult::timer_irqs), 40u);
-  }
+  const Result r = expect_identical(
+      {.rounds = 300, .max_think_cycles = 20'000, .max_hold_cycles = 2'000});
+  EXPECT_GT(total(r, &CoreResult::timer_irqs), 40u);
 }
 
 TEST(TasSpin, MatchesReferenceWithIpisMidBackoff) {
-  for (const int lanes : {1, 4}) {
-    SCOPED_TRACE("lanes " + std::to_string(lanes));
-    const Result r = expect_identical({.lanes = lanes, .ipis = true});
-    EXPECT_GT(total(r, &CoreResult::ipi_irqs), 100u);
-  }
+  const Result r = expect_identical({.ipis = true});
+  EXPECT_GT(total(r, &CoreResult::ipi_irqs), 100u);
 }
 
 TEST(TasSpin, MatchesReferenceWithIrqsMasked) {
-  for (const int lanes : {1, 4}) {
-    SCOPED_TRACE("lanes " + std::to_string(lanes));
-    expect_identical({.lanes = lanes, .ipis = true, .masked = true});
-  }
+  expect_identical({.ipis = true, .masked = true});
 }
 
 TEST(TasSpin, MatchesReferenceWithCallerTurns) {
-  for (const int lanes : {1, 4}) {
-    SCOPED_TRACE("lanes " + std::to_string(lanes));
-    const Result r = expect_identical(
-        {.lanes = lanes, .max_hold_cycles = 100'000, .warn_every = 64});
-    EXPECT_GT(r.turns.size(), 10u);
-  }
+  const Result r =
+      expect_identical({.max_hold_cycles = 100'000, .warn_every = 64});
+  EXPECT_GT(r.turns.size(), 10u);
 }
 
 TEST(TasSpin, WatchdogHangReportMatchesAndNamesTheSite) {
-  for (const int lanes : {1, 4}) {
-    SCOPED_TRACE("lanes " + std::to_string(lanes));
-    const Result r = expect_identical(
-        {.lanes = lanes, .watchdog_ps = 2500 * kPsPerUs, .desert = true});
-    EXPECT_NE(r.hang_report.find("watchdog hang report"), std::string::npos);
-    EXPECT_NE(r.hang_report.find("at site tas.test"), std::string::npos);
-    EXPECT_NE(r.hang_report.find("waiting at tas.test(5,"),
-              std::string::npos);
-  }
+  const Result r =
+      expect_identical({.watchdog_ps = 2500 * kPsPerUs, .desert = true});
+  EXPECT_NE(r.hang_report.find("watchdog hang report"), std::string::npos);
+  EXPECT_NE(r.hang_report.find("at site tas.test"), std::string::npos);
+  EXPECT_NE(r.hang_report.find("waiting at tas.test(5,"), std::string::npos);
 }
 
 }  // namespace
